@@ -1,20 +1,26 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test bench bench-gate smoke-trace profile-smoke chaos-smoke \
-        bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke
+.PHONY: verify test bench-tests bench bench-gate smoke-trace profile-smoke \
+        chaos-smoke bench-help-policies bench-scaling-smoke health-smoke \
+        sweep-smoke sdc-smoke
 
-# default CI entry point: unit tests + trace smoke + benchmark gate +
-# profiler smoke + chaos smoke + work-distribution policy matrix smoke +
-# big-cluster scaling smoke + telemetry-plane smoke + sweep orchestrator
-# smoke + silent-data-corruption defense smoke
-verify: test smoke-trace bench-gate profile-smoke chaos-smoke \
+# default CI entry point: unit tests + the sdvm_bench benchmark's own
+# tests + trace smoke + benchmark gate + profiler smoke + chaos smoke +
+# work-distribution policy matrix smoke + big-cluster scaling smoke +
+# telemetry-plane smoke + sweep orchestrator smoke + silent-data-
+# corruption defense smoke
+verify: test bench-tests smoke-trace bench-gate profile-smoke chaos-smoke \
         bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
         sdc-smoke
 
 test:
 	$(PY) -m pytest -q
+
+# the sdvm_bench benchmark's own tests (pytest's testpaths cover only
+# tests/, so a plain `pytest` never collects them)
+bench-tests:
+	$(PY) -m pytest -q sdvm_bench/tests
 
 bench:
 	$(PY) -m pytest -q benchmarks/ --benchmark-only

@@ -68,8 +68,9 @@ def bench_config(**overrides) -> SDVMConfig:
     """The configuration every benchmark uses unless it sweeps a knob."""
     base = SDVMConfig(
         # gossip_interval: the benchmarks measure work distribution, so
-        # the low-rate load heartbeat is on (the global default keeps it
-        # off to preserve quiescence for the power/sleep experiments)
+        # event-driven load reports are on (a report per change of load
+        # class, a refresh per staleness period, at most gossip_fanout
+        # per interval; the global default keeps them off)
         # push_min_queue 0: the fan-out producer (the program's home)
         # sheds every surplus frame to a known-idle peer the moment its
         # own lanes are full, instead of waiting for thieves to beg

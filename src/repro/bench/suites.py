@@ -90,11 +90,13 @@ def overhead_1site_suite() -> SuiteResult:
 
 
 def _scaling_config(nsites: int = 256):
-    # big-cluster tuning: gossip an order (or two, at 1024) slower than
-    # the bench default (256 sites at 1e-3 bury the run in heartbeats),
-    # staleness stretched to stay ahead of the interval so load info is
-    # ever considered fresh.  Untraced — at these sizes wall clock is
-    # the scarce resource.
+    # big-cluster tuning: a report interval an order (or two, at 1024)
+    # above the bench default.  From 16 sites on the report budget
+    # (gossip_fanout per interval) is spent on the refresh rotation, so
+    # the interval sets the report rate: 256 sites at 1e-3 bury the run
+    # in reports.  Staleness is stretched to stay ahead of the interval
+    # so load info is ever considered fresh.  Untraced — at these sizes
+    # wall clock is the scarce resource.
     gossip = 2e-2 if nsites > 256 else 1e-2
     base = bench_config()
     return base.with_(scheduling=replace(base.scheduling,

@@ -716,8 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--seeds", default="0",
                               help="comma list or lo:hi range")
     sweep_parser.add_argument("--gossip", nargs="*", type=float, default=[],
-                              help="gossip_interval values to sweep "
-                                   "(staleness follows at 5x)")
+                              help="gossip_interval values to sweep: the "
+                                   "minimum spacing of event-driven load "
+                                   "reports (staleness, the refresh age, "
+                                   "follows at 5x)")
     sweep_parser.add_argument("--replicate-frac", nargs="*", type=float,
                               default=[],
                               help="replicate_frac values to sweep (the "

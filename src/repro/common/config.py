@@ -157,11 +157,21 @@ class SchedulingConfig:
     #: max frames handed over per HELP_REPLY or proactive push (the
     #: steal-half batch is capped here)
     steal_batch_max: int = 4
-    #: period of the low-rate LOAD_REPORT gossip heartbeat (0 disables it;
-    #: the load/queue figures piggybacked on regular traffic are always on)
+    #: > 0 turns on event-driven LOAD_REPORTs, and is the minimum spacing
+    #: between two report rounds of a site: a change of its load class
+    #: (stealable queue crossing steal_min_queue, a hungry flip, running
+    #: out of stealable frames) is reported one interval after it, so
+    #: bursts coalesce and a flip that reverts within it costs nothing.
+    #: Also sets the report budget: at most ``gossip_fanout`` reports per
+    #: interval on average.  0 disables reports; the load/queue figures
+    #: piggybacked on regular traffic are always on
     gossip_interval: float = 0.0
     #: max age of a peer's load/queue figure before it stops counting as
-    #: fresh for victim selection and push targeting
+    #: fresh for victim selection and push targeting — and so the refresh
+    #: age: a site re-reports to a peer only when its last report there
+    #: would otherwise go stale (piggybacked figures keep the view fresh
+    #: but do not wake the peer or prompt its pushes, so they do not put
+    #: the refresh off)
     gossip_staleness: float = 5e-3
     #: proactively push surplus executable frames toward known-idle peers
     push_enabled: bool = True
@@ -174,7 +184,8 @@ class SchedulingConfig:
     #: a site advertising a single spare frame will almost always run it
     #: itself before a help request lands, so begging it mostly buys a
     #: CANT_HELP (the thundering-herd dampener for victim selection,
-    #: gossip wake-ups, and help-request forwarding)
+    #: rumor wake-ups, and help-request forwarding; crossing it is a
+    #: change of load class, so it also triggers a LOAD_REPORT)
     steal_min_queue: int = 2
     #: how long an *active* victim (executions in flight) may hold an
     #: unhelpable help request before refusing: production is bursty, so

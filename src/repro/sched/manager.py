@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.ids import GlobalAddress, ManagerId
@@ -12,6 +13,26 @@ from repro.messages import MsgType, SDMessage, make_reply
 from repro.sched.policies import (pop_frame, take_batch_for_help,
                                   take_push_batch)
 from repro.site.manager_base import Manager
+
+
+#: load classes a site advertises, as bit flags: a peer acts on a change
+#: of class (victim selection, wake-ups, push targets), not on the exact
+#: figures, so only a change of class is worth a LOAD_REPORT
+_RICH = 1      # stealable queue at or above steal_min_queue
+_HUNGRY = 2    # a processing slot is asking for work
+_EMPTY = 4     # no stealable frame left
+
+
+def _is_news(seen: int, cls: int) -> bool:
+    """Whether a peer that last saw class ``seen`` must hear ``cls``.
+
+    Crossing ``steal_min_queue`` either way and a hungry flip are news;
+    of the empty flag only the way down is: a peer that thinks we hold
+    no stealable frame loses little by missing a single one, but one
+    that thinks we still hold some keeps begging for it.
+    """
+    diff = seen ^ cls
+    return bool(diff & (_RICH | _HUNGRY) or diff & cls & _EMPTY)
 
 
 class _HelpRequest:
@@ -52,9 +73,22 @@ class SchedulingManager(Manager):
         self._parked_helps: Dict[int, Tuple[SDMessage, object]] = {}
         #: per-frame code-fetch retry budget
         self._code_retries: Dict[GlobalAddress, int] = {}
-        #: low-rate LOAD_REPORT gossip heartbeat
-        self._gossip_timer = None
-        self._gossip_cursor = 0
+        #: event-driven LOAD_REPORTs: the armed round and when it is due,
+        #: when the last round sent and the class it advertised, the
+        #: refresh rotation cursor; per peer, when it last saw our
+        #: figures (on any message) and the class they showed, and when
+        #: it last got a LOAD_REPORT
+        self._report_timer = None
+        self._report_due = 0.0
+        self._last_report = -inf
+        self._reported_class = 0
+        self._report_cursor = 0
+        #: report budget: starts at one interval's worth and refills only
+        #: while the site reports (``_tokens_at`` None: it does not)
+        self._report_tokens = float(self.config.cluster.gossip_fanout)
+        self._tokens_at: Optional[float] = None
+        self._told: Dict[int, Tuple[float, int]] = {}
+        self._reported: Dict[int, float] = {}
         #: guards against pushing frames we are adopting right now
         self._adopting = False
         # per-peer state (cooldown, in-flight fence, parked thieves) must
@@ -94,6 +128,7 @@ class SchedulingManager(Manager):
             # is what breaks when a frame's home site dies mid-chain
             self._serve_parked_helps()
         self._maybe_push()
+        self._load_changed()
 
     def stealable_depth(self) -> int:
         """Frames this site could hand to a thief right now (piggybacked on
@@ -121,6 +156,7 @@ class SchedulingManager(Manager):
             self.site.code_manager.get(
                 frame.program, frame.thread_id,
                 lambda compiled, f=frame: self._code_arrived(f, compiled))
+        self._load_changed()
 
     def _code_arrived(self, frame: Microframe,
                       compiled: Optional[CompiledMicrothread]) -> None:
@@ -185,6 +221,7 @@ class SchedulingManager(Manager):
             pm.receive_work(frame, compiled, requested=requested)
         # with everything handed out, consider prefetching the next steal
         self._maybe_help()
+        self._load_changed()
 
     # ------------------------------------------------------------------
     # help requests (work stealing)
@@ -370,6 +407,8 @@ class SchedulingManager(Manager):
         """Membership hook: drop all per-peer scheduler state for a site
         that crashed or signed off."""
         self._cooldown.pop(logical, None)
+        self._told.pop(logical, None)
+        self._reported.pop(logical, None)
         stale = [seq for seq, req in self._inflight_helps.items()
                  if req.target == logical]
         for seq in stale:
@@ -422,6 +461,10 @@ class SchedulingManager(Manager):
         self._serve()
         self._fill_ready()
         self._maybe_help()
+        # a new program, a join or a wake-up: peers need our figures
+        # again even if the class we last reported has not changed
+        self._arm_reports(self._last_report
+                          + self.config.scheduling.gossip_interval)
 
     # ------------------------------------------------------------------
     # serving help requests from other sites
@@ -584,6 +627,7 @@ class SchedulingManager(Manager):
         for _ in frames:
             self.stats.inc("steals_out")
         self.stats.observe("steal_batch", float(len(frames)))
+        self._load_changed()
 
     # ------------------------------------------------------------------
     # deferred grants: parked help requests
@@ -690,7 +734,13 @@ class SchedulingManager(Manager):
         # in the drain phase, where single-frame bursts are all there is
         wake_at = (1 if self._pm_hungry
                    else self.config.scheduling.steal_min_queue)
-        direct = queue is not None and queue >= wake_at
+        # only a site with empty lanes steals on a first-hand report: a
+        # report reaches every peer the moment a site's class changes,
+        # so waking the ones still computing as well (for a prefetch
+        # steal) stampedes the one site that just got work; they pick a
+        # victim at their own next scheduling step instead
+        has_work = queue is not None and queue >= wake_at
+        direct = has_work and self._pm_hungry > 0
         if direct or best_rumor >= wake_at:
             if direct:
                 # the sender has stealable work: fresh positive first-hand
@@ -709,7 +759,7 @@ class SchedulingManager(Manager):
                 return
             self._help_backoff = 1.0
             self._maybe_help()
-        else:
+        elif not has_work:
             # the sender is idle: maybe shed some surplus onto it
             self._maybe_push()
 
@@ -720,46 +770,166 @@ class SchedulingManager(Manager):
         chance = min(1.0, 4.0 * best_rumor / npeers)
         return self.kernel.rng.random() < chance
 
-    def _gossip_tick(self) -> None:
-        self._gossip_timer = None
-        if not self.site.running:
-            return
+    def _load_class(self) -> int:
+        """The class of load this site advertises: ``_RICH``, ``_HUNGRY``
+        and ``_EMPTY`` flags."""
+        queue = len(self.executable) + len(self.ready)
+        cls = _RICH if queue >= self.config.scheduling.steal_min_queue else 0
+        if self._pm_hungry:
+            cls |= _HUNGRY
+        if not queue:
+            cls |= _EMPTY
+        return cls
+
+    def note_told(self, peer: int) -> None:
+        """Message-manager hook: every outgoing message piggybacks this
+        site's load figures, so ``peer`` now holds our current class and
+        must hear of a change of it.  Only tracked while the site reports
+        (between its first round and a pause or the last program's end):
+        otherwise it has no class to report."""
+        if self._tokens_at is not None:
+            self._told[peer] = (self.kernel.now, self._load_class())
+
+    def _load_changed(self) -> None:
+        """Queue/slot mutation hook: a change of class since the last
+        round arms a report round one ``gossip_interval`` later (or one
+        after the previous round, if that is later).  Bursts coalesce,
+        and a flip that reverts within the interval costs nothing."""
         interval = self.config.scheduling.gossip_interval
-        if interval <= 0:
+        if interval > 0 and _is_news(self._reported_class,
+                                     self._load_class()):
+            self._arm_reports(max(self._last_report, self.kernel.now)
+                              + interval)
+
+    def _reports_wanted(self) -> bool:
+        site = self.site
+        return (self.config.scheduling.gossip_interval > 0 and site.running
+                and not site.paused and not site.sleeping
+                and site.program_manager.has_active_programs())
+
+    def _arm_reports(self, due: float) -> None:
+        """Make sure a report round runs by ``due`` (now at the earliest).
+        Nothing is armed while the site cannot or need not report."""
+        if not self._reports_wanted():
             return
-        if (not self.site.paused and not self.site.sleeping
-                and self.site.program_manager.has_active_programs()):
-            # incrementally maintained by the cluster manager — the old
-            # per-tick rebuild+sort was O(sites log sites) on every site
-            peers = self.site.cluster_manager.sorted_alive_ids()
-            fanout = min(self.config.cluster.gossip_fanout, len(peers))
-            if fanout > 0:
-                start = self._gossip_cursor % len(peers)
-                self._gossip_cursor += fanout
-                queue = float(self.stealable_depth())
-                load = self.site.site_manager.current_load()
-                cm = self.site.cluster_manager
-                # rumors only pay off past the sample window; below it
-                # every peer is already in everyone's sample, and a
-                # silent wire keeps small-cluster runs bit-identical
-                rumors = (cm.hot_rumors()
-                          if len(peers) > cm.PICK_SAMPLE else [])
-                for i in range(fanout):
-                    peer = peers[(start + i) % len(peers)]
-                    payload = {"load": load, "queue": queue}
-                    hot = [row for row in rumors if row[0] != peer]
-                    if hot:
-                        payload["hot"] = hot
-                    self.site.message_manager.send(SDMessage(
-                        type=MsgType.LOAD_REPORT,
-                        src_site=self.local_id,
-                        src_manager=ManagerId.SCHEDULING,
-                        dst_site=peer, dst_manager=ManagerId.SCHEDULING,
-                        payload=payload,
-                    ))
-                    self.stats.inc("gossip_sent")
-        self._gossip_timer = self.kernel.call_later(interval,
-                                                    self._gossip_tick)
+        now = self.kernel.now
+        due = max(due, now)
+        if self._report_timer is not None:
+            if self._report_due <= due:
+                return
+            self.kernel.cancel(self._report_timer)
+        self._report_due = due
+        self._report_timer = self.kernel.call_later(due - now,
+                                                    self._report_round)
+
+    def _disarm_reports(self) -> None:
+        self._tokens_at = None
+        if self._report_timer is not None:
+            self.kernel.cancel(self._report_timer)
+            self._report_timer = None
+
+    def _report_round(self) -> None:
+        """Send the LOAD_REPORTs that are due, then arm the next round.
+
+        Two kinds of peer are due.  A peer whose last report would go
+        stale before the next round could reach it gets a refresh, in
+        rotation order.  A peer whose view of us is still fresh (it saw
+        our figures within ``gossip_staleness``, on any message) but
+        shows another class gets the news.  Figures piggybacked on other
+        traffic count for the news but do not put off a refresh: a
+        report also wakes its receiver or prompts a push, which a
+        piggybacked figure never does.  Both draw on one budget that
+        refills at the fixed-rate heartbeat's pace, ``gossip_fanout`` per
+        ``gossip_interval``, and holds one staleness period's worth.  A
+        small cluster never runs it dry: every peer's view stays fresh at
+        about one report per staleness period, and every class change
+        reaches every peer that holds a view.  A large cluster spends it
+        on the rotation, as the fixed-rate heartbeat did, and news wait
+        for the next round.
+        """
+        self._report_timer = None
+        if not self._reports_wanted():
+            self._disarm_reports()
+            return
+        cfg = self.config.scheduling
+        now = self.kernel.now
+        interval, staleness = cfg.gossip_interval, cfg.gossip_staleness
+        cls = self._load_class()
+        fanout = self.config.cluster.gossip_fanout
+        tokens = self._report_tokens
+        if self._tokens_at is not None:
+            tokens += fanout * (now - self._tokens_at) / interval
+        tokens = min(tokens, fanout * max(1.0, staleness / interval))
+        starved = False
+        told, reported = self._told, self._reported
+        # views of us gone stale already hold no class to correct, and
+        # an old report is as good as none
+        for peer in [p for p, (at, _seen) in told.items()
+                     if now - at > staleness]:
+            del told[peer]
+        for peer in [p for p, at in reported.items()
+                     if now - at > staleness]:
+            del reported[peer]
+        # incrementally maintained by the cluster manager — the old
+        # per-tick rebuild+sort was O(sites log sites) on every site
+        cm = self.site.cluster_manager
+        peers = cm.sorted_alive_ids()
+        npeers = len(peers)
+        # refresh what would expire before the next round could run
+        window = staleness - interval
+        start = self._report_cursor % npeers if npeers else 0
+        scanned = 0
+        oldest = now
+        targets = []
+        while scanned < npeers:
+            peer = peers[(start + scanned) % npeers]
+            at = reported.get(peer)
+            if at is not None and now - at < window:
+                oldest = min(oldest, at)
+            elif tokens >= 1:
+                tokens -= 1
+                targets.append(peer)
+            else:
+                starved = True
+                break
+            scanned += 1
+        self._report_cursor = start + scanned
+        refreshed = set(targets)
+        for peer, (_at, seen) in told.items():
+            if peer not in refreshed and _is_news(seen, cls):
+                if tokens < 1:
+                    starved = True
+                    break
+                tokens -= 1
+                targets.append(peer)
+        self._report_tokens, self._tokens_at = tokens, now
+        if targets:
+            queue = float(self.stealable_depth())
+            load = self.site.site_manager.current_load()
+            # rumors only pay off past the sample window; below it
+            # every peer is already in everyone's sample, and reports
+            # keep the pre-rumor payload
+            rumors = cm.hot_rumors() if npeers > cm.PICK_SAMPLE else []
+            for peer in targets:
+                payload = {"load": load, "queue": queue}
+                hot = [row for row in rumors if row[0] != peer]
+                if hot:
+                    payload["hot"] = hot
+                self.site.message_manager.send(SDMessage(
+                    type=MsgType.LOAD_REPORT,
+                    src_site=self.local_id,
+                    src_manager=ManagerId.SCHEDULING,
+                    dst_site=peer, dst_manager=ManagerId.SCHEDULING,
+                    payload=payload,
+                ))
+                self.stats.inc("gossip_sent")
+                reported[peer] = now
+            self._last_report = now
+        self._reported_class = cls
+        # out of budget: more peers are due as soon as it refills;
+        # otherwise the next report to expire sets the time
+        due = now if starved else oldest + staleness
+        self._arm_reports(max(due, now + interval))
 
     def _maybe_push(self) -> None:
         """Proactive work sharing: an overloaded site pushes surplus frames
@@ -800,6 +970,7 @@ class SchedulingManager(Manager):
             },
         ))
         self.site.cluster_manager.note_pushed(target, len(frames))
+        self._load_changed()
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -824,6 +995,8 @@ class SchedulingManager(Manager):
             self._code_retries = {fid: n
                                   for fid, n in self._code_retries.items()
                                   if fid in kept}
+        if not self.site.program_manager.has_active_programs():
+            self._disarm_reports()  # nothing to report until the next one
 
     def snapshot_frames(self) -> List[Microframe]:
         """Copy of queued frames (checkpoint wave — queues stay in place)."""
@@ -841,6 +1014,7 @@ class SchedulingManager(Manager):
         self.ready.clear()
         self._pending_code.clear()
         self._code_retries.clear()
+        self._load_changed()
 
     def export_frames(self) -> List[Microframe]:
         """Drain all queues (including in-flight code fetches) for sign-off
@@ -855,6 +1029,7 @@ class SchedulingManager(Manager):
         self._code_retries.clear()
         # parked thieves must look elsewhere — this site is signing off
         self._flush_parked_helps()
+        self._load_changed()
         return frames
 
     def queue_depth(self) -> int:
@@ -867,18 +1042,11 @@ class SchedulingManager(Manager):
         behind a victim that never frees anything)."""
         return len(self._parked_helps)
 
-    def on_start(self) -> None:
-        if self.config.scheduling.gossip_interval > 0:
-            self._gossip_timer = self.kernel.call_later(
-                self.config.scheduling.gossip_interval, self._gossip_tick)
-
     def on_stop(self) -> None:
         if self._help_timer is not None:
             self.kernel.cancel(self._help_timer)
             self._help_timer = None
-        if self._gossip_timer is not None:
-            self.kernel.cancel(self._gossip_timer)
-            self._gossip_timer = None
+        self._disarm_reports()
         # drop parked helps without replying: the site is going away and
         # the thieves' request timeouts handle the silence
         for _msg, timer in self._parked_helps.values():

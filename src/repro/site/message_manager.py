@@ -89,6 +89,9 @@ class MessageManager(Manager):
             self.stats.inc("unresolvable")
             return False
         msg.dst_site = dst
+        if msg.src_load >= 0:
+            # the piggybacked load figures tell dst our load class
+            self.site.scheduling_manager.note_told(dst)
         data = msg.encode()
         cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         envelope = self.site.security_manager.protect(physical, data)

@@ -727,6 +727,164 @@ class TestHotPeerRumors:
         victim.cluster_manager.note_load(thief.site_id, 5.0, queue=5.0)
         sent = []
         victim.message_manager.send = sent.append
-        sm._gossip_tick()
-        assert sent, "gossip tick should emit load reports"
+        sm._reported.clear()  # the thief got no report yet: refresh due
+        sm._report_round()
+        assert sent, "a report round should refresh the thief's view"
         assert all("hot" not in msg.payload for msg in sent)
+
+
+class TestEventDrivenReports:
+    """LOAD_REPORTs follow changes of load class, not a fixed rate."""
+
+    INTERVAL = 1e-3
+    STALENESS = 5e-3
+
+    @pytest.fixture
+    def reporter(self, fast_config):
+        from dataclasses import replace
+        from repro.apps import build_primes_program
+        config = fast_config.with_(scheduling=replace(
+            fast_config.scheduling, gossip_interval=self.INTERVAL,
+            gossip_staleness=self.STALENESS))
+        cluster = SimCluster(nsites=4, config=config)
+        handle = cluster.submit(build_primes_program(),
+                                args=(25, 6, 400.0, 4000.0))
+        cluster.sim.run(until=0.05)
+        site = cluster.sites[1]
+        assert site.program_manager.is_active(handle.pid)
+        sm = site.scheduling_manager
+        # freeze the site's queues: the tests drive them by hand
+        sm.executable.clear()
+        sm.ready.clear()
+        sm._pm_hungry = 0
+        # a full budget: these tests are about who is due, not the rate
+        sm._report_tokens = (config.cluster.gossip_fanout
+                             * self.STALENESS / self.INTERVAL)
+        sent = []
+
+        def send(msg):
+            sent.append(msg)
+            sm.note_told(msg.dst_site)
+            return True
+
+        site.message_manager.send = send
+        peers = list(site.cluster_manager.sorted_alive_ids())
+        return sm, sent, peers, handle.pid
+
+    def _tell_all(self, sm, peers, age):
+        """Every peer got a report of our current class ``age`` seconds
+        ago."""
+        now = sm.kernel.now
+        cls = sm._load_class()
+        sm._told = {peer: (now - age, cls) for peer in peers}
+        sm._reported = {peer: now - age for peer in peers}
+        sm._reported_class = cls
+
+    @staticmethod
+    def _frame(local, pid):
+        return Microframe(GlobalAddress(1, 9000 + local), thread_id=0,
+                          program=pid, nparams=0)
+
+    def _assert_armed_within_interval(self, sm):
+        assert sm._report_timer is not None
+        assert sm._report_due <= sm.kernel.now + self.INTERVAL + 1e-12
+
+    def test_unchanged_class_sends_nothing_before_refresh_age(
+            self, reporter):
+        sm, sent, peers, _pid = reporter
+        self._tell_all(sm, peers, age=0.5 * self.STALENESS)
+        sm._load_changed()
+        sm._report_round()
+        assert sent == []
+        # a view about to go stale gets its refresh, to every peer
+        self._tell_all(sm, peers, age=self.STALENESS - 0.5 * self.INTERVAL)
+        sm._report_round()
+        assert sorted(msg.dst_site for msg in sent) == sorted(peers)
+
+    def test_crossing_steal_min_queue_up_reaches_every_told_peer(
+            self, reporter):
+        sm, sent, peers, pid = reporter
+        self._tell_all(sm, peers, age=0.0)
+        min_queue = sm.config.scheduling.steal_min_queue
+        for i in range(min_queue):
+            sm.executable.append(self._frame(i, pid))
+        sm._load_changed()
+        self._assert_armed_within_interval(sm)
+        sm._report_round()
+        assert sorted(msg.dst_site for msg in sent) == sorted(peers)
+        assert all(msg.payload["queue"] == min_queue for msg in sent)
+
+    def test_crossing_steal_min_queue_down_reaches_every_told_peer(
+            self, reporter):
+        sm, sent, peers, pid = reporter
+        for i in range(sm.config.scheduling.steal_min_queue + 1):
+            sm.executable.append(self._frame(i, pid))
+        self._tell_all(sm, peers, age=0.0)
+        sm.executable.clear()
+        sm._load_changed()
+        self._assert_armed_within_interval(sm)
+        sm._report_round()
+        assert sorted(msg.dst_site for msg in sent) == sorted(peers)
+        assert all(msg.payload["queue"] == 0 for msg in sent)
+
+    def test_hungry_flip_sends(self, reporter):
+        sm, sent, peers, _pid = reporter
+        self._tell_all(sm, peers, age=0.0)
+        sm._pm_hungry = 1
+        sm._load_changed()
+        self._assert_armed_within_interval(sm)
+        sm._report_round()
+        assert sorted(msg.dst_site for msg in sent) == sorted(peers)
+        # and stopping being hungry is news again
+        sent.clear()
+        sm._pm_hungry = 0
+        sm._load_changed()
+        sm._report_round()
+        assert sorted(msg.dst_site for msg in sent) == sorted(peers)
+
+    def test_piggybacked_view_hears_the_change(self, reporter):
+        # a peer that saw our figures only on regular traffic holds our
+        # class too; a peer whose view lapsed holds none and is not told
+        sm, sent, peers, _pid = reporter
+        self._tell_all(sm, peers, age=0.0)
+        sm._told = {}
+        sm.note_told(peers[0])
+        sm._pm_hungry = 1
+        sm._load_changed()
+        sm._report_round()
+        assert [msg.dst_site for msg in sent] == [peers[0]]
+
+    def test_single_frame_is_not_news(self, reporter):
+        # of the empty flag only the way down is news
+        sm, sent, peers, pid = reporter
+        self._tell_all(sm, peers, age=0.0)
+        sm.executable.append(self._frame(0, pid))
+        sm._load_changed()
+        sm._report_round()
+        assert sent == []
+
+    def test_no_active_program_arms_no_timer(self, fast_config):
+        from dataclasses import replace
+        from repro.apps import build_primes_program
+        config = fast_config.with_(scheduling=replace(
+            fast_config.scheduling, gossip_interval=self.INTERVAL))
+        cluster = SimCluster(nsites=3, config=config)
+        cluster.sim.run(until=0.05)
+        for site in cluster.sites:
+            assert site.scheduling_manager._report_timer is None
+        cluster.submit(build_primes_program(), args=(12, 4, 400.0, 4000.0))
+        cluster.run()
+        assert cluster.total_stats().get("gossip_sent").count > 0
+        for site in cluster.sites:
+            assert site.scheduling_manager._report_timer is None
+
+    def test_gossip_off_sends_nothing(self, fast_config):
+        from repro.apps import build_primes_program
+        assert fast_config.scheduling.gossip_interval == 0
+        cluster = SimCluster(nsites=3, config=fast_config)
+        cluster.submit(build_primes_program(), args=(12, 4, 400.0, 4000.0))
+        cluster.run()
+        assert cluster.total_stats().get("gossip_sent").count == 0
+        for site in cluster.sites:
+            sm = site.scheduling_manager
+            assert sm._report_timer is None and not sm._told
