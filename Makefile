@@ -1,18 +1,18 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test bench-tests bench bench-gate smoke-trace profile-smoke \
-        chaos-smoke bench-help-policies bench-scaling-smoke health-smoke \
-        sweep-smoke sdc-smoke
+.PHONY: verify test bench-tests bench-smoke bench bench-gate smoke-trace \
+        profile-smoke chaos-smoke bench-help-policies bench-scaling-smoke \
+        health-smoke sweep-smoke sdc-smoke
 
 # default CI entry point: unit tests + the sdvm_bench benchmark's own
-# tests + trace smoke + benchmark gate + profiler smoke + chaos smoke +
-# work-distribution policy matrix smoke + big-cluster scaling smoke +
-# telemetry-plane smoke + sweep orchestrator smoke + silent-data-
-# corruption defense smoke
-verify: test bench-tests smoke-trace bench-gate profile-smoke chaos-smoke \
-        bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke
+# tests + a one-second sdvm_bench run + trace smoke + benchmark gate +
+# profiler smoke + chaos smoke + work-distribution policy matrix smoke +
+# big-cluster scaling smoke + telemetry-plane smoke + sweep orchestrator
+# smoke + silent-data-corruption defense smoke
+verify: test bench-tests bench-smoke smoke-trace bench-gate profile-smoke \
+        chaos-smoke bench-help-policies bench-scaling-smoke health-smoke \
+        sweep-smoke sdc-smoke
 
 test:
 	$(PY) -m pytest -q
@@ -21,6 +21,14 @@ test:
 # tests/, so a plain `pytest` never collects them)
 bench-tests:
 	$(PY) -m pytest -q sdvm_bench/tests
+
+# the sdvm_bench benchmark end to end for one second, traced: its ledger
+# wraps SimNetwork.send and MessageManager.deliver_raw, so this is the
+# check that those wrappers still fit the signatures.  Exits 1 on a wrong
+# result or when the traced and untraced jobs' virtual figures diverge
+bench-smoke:
+	$(PY) sdvm_bench/run.py --workload table1-primes-s8 --seed 1 \
+		--seconds 1 --trace 1
 
 bench:
 	$(PY) -m pytest -q benchmarks/ --benchmark-only

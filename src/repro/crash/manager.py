@@ -177,13 +177,13 @@ class CrashManager(Manager):
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_ACK, {"wave": wave})
 
     def _on_snapshot_request(self, wave: int, coordinator: int) -> None:
-        from repro.serde import dumps, loads
-        # deep-copy through the wire codec: frame parameters hold live
+        from repro.serde import clone
+        # deep-copy as the wire codec would: frame parameters hold live
         # references to application values (e.g. a mutable state dict that
         # keeps evolving after the wave) — a by-reference snapshot would be
         # an inconsistent cut.  Remote shards get this copy for free when
-        # the message encodes; the coordinator's own shard does not.
-        state = loads(dumps(self.site.attraction_memory.export_checkpoint()))
+        # the message is sent; the coordinator's own shard does not.
+        state = clone(self.site.attraction_memory.export_checkpoint())
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
                         {"wave": wave, "state": state,
                          "site": self.local_id})

@@ -32,7 +32,7 @@ from repro.common.errors import FrameStateError, MemoryFault
 from repro.common.ids import GlobalAddress, ManagerId
 from repro.core.frames import Microframe
 from repro.messages import MsgType, SDMessage, make_reply
-from repro.serde import encoded_size
+from repro.serde import measured_size
 from repro.site.manager_base import Manager
 
 
@@ -330,7 +330,7 @@ class AttractionMemory(Manager):
             if dir_site != owner:
                 total += network.transit_delay(dir_phys, owner_phys, 64)
         total += network.transit_delay(owner_phys, my_phys,
-                                       64 + encoded_size(value))
+                                       64 + measured_size(value))
         return total
 
     def _migrate_in(self, addr: GlobalAddress, owner: int,

@@ -5,11 +5,11 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.serde import dumps, loads
+from repro.serde import clone, dumps, loads
 
 
 class MsgType(enum.IntEnum):
@@ -158,25 +158,42 @@ class SDMessage:
         """
         wire = self._wire
         if wire is None:
-            wire = self._wire = dumps((
-                int(self.type),
-                self.src_site,
-                int(self.src_manager),
-                self.dst_site,
-                int(self.dst_manager),
-                self.program,
-                self.seq,
-                self.reply_to,
-                self.src_load,
-                self.src_queue,
-                _STAMP.pack(self.cause_id + 1, self.origin_site),
-                self.payload,
-            ))
+            wire = self._wire = dumps(self._fields())
         return wire
+
+    def _fields(self) -> Tuple[Any, ...]:
+        """The value :meth:`encode` serializes."""
+        return (
+            int(self.type),
+            self.src_site,
+            int(self.src_manager),
+            self.dst_site,
+            int(self.dst_manager),
+            self.program,
+            self.seq,
+            self.reply_to,
+            self.src_load,
+            self.src_queue,
+            _STAMP.pack(self.cause_id + 1, self.origin_site),
+            self.payload,
+        )
 
     @classmethod
     def decode(cls, data: bytes) -> "SDMessage":
-        obj = loads(data)
+        return cls._from_fields(loads(data))
+
+    def wire_copy(self) -> "SDMessage":
+        """A private copy equal to ``SDMessage.decode(self.encode())``.
+
+        Built by :func:`~repro.serde.codec.clone` instead of the round
+        trip: the sim network hands it to the receiver so that the bytes
+        need not be decoded.  Raises :class:`SerializationError` wherever
+        :meth:`decode` would reject the encoding.
+        """
+        return self._from_fields(clone(self._fields()))
+
+    @classmethod
+    def _from_fields(cls, obj: Any) -> "SDMessage":
         if not isinstance(obj, tuple) or len(obj) != 12:
             raise SerializationError("malformed SDMessage envelope")
         (mtype, src_site, src_mgr, dst_site, dst_mgr,
@@ -194,8 +211,8 @@ class SDMessage:
                 f"unknown enum value on wire: {exc}") from exc
         if not isinstance(payload, dict):
             raise SerializationError("SDMessage payload must be a dict")
-        # direct slot assignment instead of the dataclass __init__ — decode
-        # runs once per received message and the kwargs machinery is
+        # direct slot assignment instead of the dataclass __init__ — this
+        # runs once per delivered message and the kwargs machinery is
         # measurable there.  Every slot must be set, including the wire
         # cache (deliberately left cold, see the field comment).
         msg = cls.__new__(cls)

@@ -15,7 +15,7 @@ usable at the current expansion stage" (§4).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import AddressError
@@ -37,7 +37,7 @@ class SimNetwork:
         self.sim = sim
         self.config = config or NetworkConfig()
         self.topology = topology
-        self._receivers: Dict[int, Callable[[bytes], None]] = {}
+        self._receivers: Dict[int, Callable[..., None]] = {}
         self.stats = StatSet()
         #: optional fault-injection controller (repro.chaos); consulted per
         #: message when set.  The None-guarded hot path costs one attribute
@@ -45,7 +45,7 @@ class SimNetwork:
         self.chaos = None
 
     # ------------------------------------------------------------------
-    def attach(self, addr: int, receiver: Callable[[bytes], None]) -> None:
+    def attach(self, addr: int, receiver: Callable[..., None]) -> None:
         if addr < 0:
             raise AddressError("site physical addresses must be non-negative")
         if addr in self._receivers:
@@ -86,8 +86,14 @@ class SimNetwork:
             overhead = 0.0
         return latency + serialization + overhead
 
-    def send(self, src: int, dst: int, data: bytes) -> bool:
+    def send(self, src: int, dst: int, data: bytes,
+             msg: Optional[Any] = None) -> bool:
         """Schedule delivery of ``data``; returns False on immediate failure.
+
+        ``msg``: the sender's private copy of the message ``data`` encodes.
+        It is delivered with the bytes, so the receiver need not decode
+        them; only the first delivery of a duplicated message gets it, and
+        bytes that chaos corrupts travel without it.
 
         A detached destination (crashed/left site) silently swallows the
         message at delivery time — like a real network, the sender cannot
@@ -101,6 +107,7 @@ class SimNetwork:
             mangled = self.chaos.corrupt_wire(src, dst, data)
             if mangled is not None:
                 data = mangled
+                msg = None
         size = len(data)
         self.stats.inc("messages")
         self.stats.add("bytes", size)
@@ -131,23 +138,30 @@ class SimNetwork:
                 if offsets[0] != 0.0:
                     self.stats.inc("chaos_delayed")
                 for extra in offsets:
+                    # duplicates carry bytes alone: no two deliveries may
+                    # share one message object
                     self.sim.schedule(delay + extra, self._deliver, dst,
-                                      data)
+                                      data, msg)
+                    msg = None
                 return True
 
-        self.sim.schedule(delay, self._deliver, dst, data)
+        self.sim.schedule(delay, self._deliver, dst, data, msg)
         return True
 
-    def _deliver(self, dst: int, data: bytes) -> None:
+    def _deliver(self, dst: int, data: bytes,
+                 msg: Optional[Any] = None) -> None:
         receiver = self._receivers.get(dst)
         if receiver is None:
             self.stats.inc("dropped_dead_dst")
             return
         self.stats.inc("delivered")
-        receiver(data)
+        if msg is None:
+            receiver(data)
+        else:
+            receiver(data, msg)
 
     def endpoint(self, addr: int,
-                 receiver: Callable[[bytes], None]) -> "SimTransportEndpoint":
+                 receiver: Callable[..., None]) -> "SimTransportEndpoint":
         """Attach ``receiver`` and return a Transport-shaped endpoint."""
         self.attach(addr, receiver)
         return SimTransportEndpoint(self, addr)

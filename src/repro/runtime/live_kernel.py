@@ -214,7 +214,9 @@ class LiveKernel(Kernel):
         fn(*args)
 
     # ------------------------------------------------------------------
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
+        # live transports carry bytes; the receiver decodes them
         return self.transport.send(dst_physical, data)
 
     def local_physical(self) -> str:

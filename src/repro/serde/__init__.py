@@ -6,13 +6,14 @@ streams.  This package implements that substrate from scratch:
 
 * :mod:`repro.serde.codec` — a compact, self-describing binary encoding for
   the value types microthreads and managers exchange (ints, floats, strings,
-  bytes, containers, global addresses, file handles).
+  bytes, containers, global addresses, file handles), and ``clone``, a
+  copy equal to a round trip through it.
 * :mod:`repro.serde.framing` — length-prefixed message framing for stream
   transports (TCP), with incremental feed/decode for real sockets.
 """
 
-from repro.serde.codec import dumps, loads, encoded_size, measured_size
+from repro.serde.codec import clone, dumps, loads, measured_size
 from repro.serde.framing import frame, FrameDecoder, MAX_FRAME_SIZE
 
-__all__ = ["dumps", "loads", "encoded_size", "measured_size", "frame",
+__all__ = ["clone", "dumps", "loads", "measured_size", "frame",
            "FrameDecoder", "MAX_FRAME_SIZE"]

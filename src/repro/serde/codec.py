@@ -15,10 +15,15 @@ Design goals:
   compactness directly shapes benchmark numbers, as it did on the paper's
   LAN.
 * **Fast**: the codec sits on the sim kernel's hottest path (every remote
-  message encodes and decodes through it), so tag bytes are precomputed
-  ints, single-byte varints are inlined, :func:`measured_size` computes an
-  encoding's size without materializing bytes, and :func:`loads` accepts
-  ``memoryview``/``bytearray`` without copying the buffer.
+  message encodes through it for its exact size), so tag bytes are
+  precomputed ints, single-byte varints are inlined, :func:`measured_size`
+  computes an encoding's size without materializing bytes, and
+  :func:`loads` accepts ``memoryview``/``bytearray`` without copying the
+  buffer.  Sender and receiver of a sim message share one process, so the
+  sim network hands the receiver a :func:`clone` — the value ``loads``
+  would rebuild, at a fraction of the cost — and decodes bytes only where
+  they are all that arrives (chaos duplicates and corruption, heir
+  forwarding).  The live kernel decodes everything it receives.
 
 Wire grammar (one byte tag, then payload):
 
@@ -335,11 +340,6 @@ def measured_size(value: Any) -> int:
         f"type {t.__name__!r} is not serializable on the SDVM wire")
 
 
-def encoded_size(value: Any) -> int:
-    """Size in bytes of the encoding (drives the simulated bandwidth model)."""
-    return measured_size(value)
-
-
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -518,3 +518,67 @@ def loads(data: _Buffer) -> Any:
         raise SerializationError(
             f"{len(data) - pos} trailing bytes after value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# cloning
+
+#: leaf types ``loads`` rebuilds as an equal, immutable value of the same
+#: type — a clone shares them with the original instead of copying
+_SHARED = frozenset((type(None), bool, int, float, str, bytes,
+                     GlobalAddress, FileHandle))
+
+
+def _clone(value: Any, depth: int) -> Any:
+    t = type(value)
+    if t in _SHARED:
+        return value
+    if t is bytearray or t is memoryview:
+        return bytes(value)
+    if depth >= MAX_DECODE_DEPTH:
+        raise SerializationError(
+            f"payload nested deeper than {MAX_DECODE_DEPTH}")
+    child_depth = depth + 1
+    if t is list or t is tuple:
+        items = [item if type(item) in _SHARED else _clone(item, child_depth)
+                 for item in value]
+        return items if t is list else tuple(items)
+    if t is dict:
+        # a frozenset key comes back as an unhashable set, as from loads
+        try:
+            return {
+                (key if type(key) in _SHARED else _clone(key, child_depth)):
+                (val if type(val) in _SHARED else _clone(val, child_depth))
+                for key, val in value.items()}
+        except TypeError as exc:
+            raise SerializationError(
+                f"unhashable dict key on wire: {exc}") from exc
+    if t is set or t is frozenset:
+        # inserted in the encoder's canonical order, so the clone iterates
+        # exactly like the set loads would rebuild
+        out = set()
+        try:
+            for item in sorted(value, key=_set_sort_key):
+                out.add(_clone(item, child_depth))
+        except TypeError as exc:
+            raise SerializationError(
+                f"unhashable set element on wire: {exc}") from exc
+        return out
+    raise SerializationError(
+        f"type {t.__name__!r} is not serializable on the SDVM wire")
+
+
+def clone(value: Any) -> Any:
+    """A private copy of ``value`` equal to ``loads(dumps(value))``.
+
+    Same types all the way down: every list, tuple, dict and set is
+    rebuilt, ``frozenset`` becomes ``set`` and ``bytearray``/``memoryview``
+    become ``bytes``, while immutable leaves (``None``, ``bool``, ``int``,
+    ``float``, ``str``, ``bytes``, :class:`GlobalAddress`,
+    :class:`FileHandle`) are shared.  Raises :class:`SerializationError`
+    wherever the round trip would: an unsupported type, nesting deeper than
+    :data:`MAX_DECODE_DEPTH`, or a key or set element that the round trip
+    leaves unhashable.  Costs a fraction of the round trip, which is why
+    the sim network delivers a clone instead of decoding.
+    """
+    return _clone(value, 0)

@@ -61,8 +61,15 @@ class Kernel(abc.ABC):
         """Occupy the CPU for ``seconds``, then run ``fn(*args)``."""
 
     @abc.abstractmethod
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
-        """Hand bytes to the transport for ``dst_physical``."""
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
+        """Hand bytes to the transport for ``dst_physical``.
+
+        ``msg``: the sender's private copy of the message the bytes encode
+        (:meth:`SDMessage.wire_copy`), or None.  A transport inside one
+        process may deliver it with the bytes so the receiver skips the
+        decode; a transport that carries only bytes ignores it.
+        """
 
     @abc.abstractmethod
     def local_physical(self) -> str:

@@ -4,7 +4,13 @@ Outgoing path: a manager builds an :class:`SDMessage`; the message manager
 assigns a sequence number, resolves the target's *logical* site id to a
 *physical* address by querying the cluster manager's list, serializes, hands
 the bytes to the security layer for sealing, and passes the envelope to the
-network manager (the kernel transport).  Incoming path is the mirror image.
+network manager (the kernel transport).  Incoming path: the network manager
+hands over the envelope, the security layer unseals it, and the message is
+decoded and dispatched to the target manager.  The sim network also hands
+over a private copy of the sender's message (:meth:`SDMessage.wire_copy`,
+taken at send time), so the receiver skips the decode; the bytes still pass
+the security check and still set the CPU cost.  Live transports carry only
+bytes, and the receiver decodes them.
 
 It also implements request/reply correlation (``reply_to``) with optional
 timeouts, which every higher protocol (help requests, code fetches, memory
@@ -92,24 +98,7 @@ class MessageManager(Manager):
         if msg.src_load >= 0:
             # the piggybacked load figures tell dst our load class
             self.site.scheduling_manager.note_told(dst)
-        data = msg.encode()
-        cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
-        envelope = self.site.security_manager.protect(physical, data)
-        if self.site.security_manager.enabled:
-            cpu_cost += (self.cost.crypto_fixed_cost
-                         + len(data) * self.cost.crypto_byte_cost)
-        self.kernel.cpu_charge(cpu_cost)
-        self.stats.inc("sent")
-        self.stats.add("bytes_sent", len(envelope))
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "msg_send",
-                    msg.type.name, dst, len(envelope), msg.seq,
-                    msg.cause_id, msg.origin_site)
-        ok = self.kernel.transport_send(physical, envelope)
-        if not ok:
-            self.stats.inc("send_failed")
-        return ok
+        return self._transmit(physical, msg)
 
     def send_physical(self, physical: str, msg: SDMessage) -> bool:
         """Send directly to a physical address, bypassing logical resolution.
@@ -119,7 +108,18 @@ class MessageManager(Manager):
         cluster" (§6).
         """
         self._assign_seq(msg)
+        return self._transmit(physical, msg)
+
+    def _transmit(self, physical: str, msg: SDMessage) -> bool:
+        """Encode, seal, charge and hand ``msg`` to the transport."""
         data = msg.encode()
+        # the receiver's copy is a snapshot from send time, like the bytes;
+        # a message the decoder would reject travels as bytes alone, so
+        # the receiver rejects it exactly as before
+        try:
+            copy: Optional[SDMessage] = msg.wire_copy()
+        except SerializationError:
+            copy = None
         cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         envelope = self.site.security_manager.protect(physical, data)
         if self.site.security_manager.enabled:
@@ -133,7 +133,10 @@ class MessageManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "msg_send",
                     msg.type.name, msg.dst_site, len(envelope), msg.seq,
                     msg.cause_id, msg.origin_site)
-        return self.kernel.transport_send(physical, envelope)
+        ok = self.kernel.transport_send(physical, envelope, copy)
+        if not ok:
+            self.stats.inc("send_failed")
+        return ok
 
     def request(self, msg: SDMessage, on_reply: ReplyCallback,
                 timeout: Optional[float] = None,
@@ -168,20 +171,26 @@ class MessageManager(Manager):
     # ------------------------------------------------------------------
     # receiving
 
-    def deliver_raw(self, envelope: bytes) -> None:
-        """Entry point for the network manager: unseal, decode, dispatch."""
+    def deliver_raw(self, envelope: bytes,
+                    msg: Optional[SDMessage] = None) -> None:
+        """Entry point for the network manager: unseal, decode, dispatch.
+
+        ``msg``: the sender's private copy of the message (sim network
+        only), used instead of decoding the unsealed bytes.
+        """
         try:
             _sender, data = self.site.security_manager.unprotect(envelope)
         except SecurityError as exc:
             self.stats.inc("rejected_envelopes")
             self.log("security rejected envelope: %s", exc)
             return
-        try:
-            msg = SDMessage.decode(data)
-        except SerializationError as exc:
-            self.stats.inc("malformed")
-            self.log("malformed message dropped: %s", exc)
-            return
+        if msg is None:
+            try:
+                msg = SDMessage.decode(data)
+            except SerializationError as exc:
+                self.stats.inc("malformed")
+                self.log("malformed message dropped: %s", exc)
+                return
         cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         if self.site.security_manager.enabled:
             cpu_cost += (self.cost.crypto_fixed_cost

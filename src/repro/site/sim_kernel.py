@@ -58,11 +58,11 @@ class SimKernel(Kernel):
         self._physical = physical
         self.rng = random.Random((seed << 16) ^ physical ^ 0x5DF1)
         self._endpoint: Optional[Any] = None
-        self._receiver: Optional[Callable[[bytes], None]] = None
+        self._receiver: Optional[Callable[..., None]] = None
         self._closed = False
 
     # ------------------------------------------------------------------
-    def attach_receiver(self, receiver: Callable[[bytes], None]) -> None:
+    def attach_receiver(self, receiver: Callable[..., None]) -> None:
         """Connect this kernel to the shared network (done by the daemon)."""
         self._receiver = receiver
         self._endpoint = self.shared.network.endpoint(self._physical, receiver)
@@ -90,11 +90,12 @@ class SimKernel(Kernel):
                 *args: Any) -> None:
         self.cpu.run(seconds, fn, *args)
 
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
         if self._closed:
             return False
         return self.shared.network.send(self._physical, int(dst_physical),
-                                        data)
+                                        data, msg)
 
     def local_physical(self) -> str:
         return str(self._physical)

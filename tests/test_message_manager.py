@@ -231,9 +231,9 @@ class TestSecurityIntegration:
         seen = []
         original_send = cluster.network.send
 
-        def spy(src, dst, data):
+        def spy(src, dst, data, msg=None):
             seen.append(bytes(data))
-            return original_send(src, dst, data)
+            return original_send(src, dst, data, msg)
 
         cluster.network.send = spy
         cluster.sim.run(until=0.2)

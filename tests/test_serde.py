@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.common.ids import FileHandle, GlobalAddress
-from repro.serde import dumps, encoded_size, loads, measured_size
+from repro.common.ids import FileHandle, GlobalAddress, ManagerId
+from repro.serde import clone, dumps, loads, measured_size
 from repro.serde.codec import (MAX_DECODE_DEPTH, read_uvarint, write_uvarint,
                                zigzag)
 
@@ -128,11 +128,6 @@ class TestVarint:
             read_uvarint(b"\x80", 0)
 
 
-def test_encoded_size_matches():
-    value = {"key": [1, 2, 3], "other": "text"}
-    assert encoded_size(value) == len(dumps(value))
-
-
 # ---------------------------------------------------------------------------
 # property-based round-trips
 
@@ -187,6 +182,7 @@ class TestMeasuredSize:
         [], [1, [2, [3]]], (1, "a"), {}, {"k": [1.5, None]},
         {(1, 2): b"x"}, set(), {1, "a", 2.5},
         GlobalAddress(17, 123456), FileHandle(3, 99),
+        {"key": [1, 2, 3], "other": "text"},
     ])
     def test_matches_dumps(self, value):
         assert measured_size(value) == len(dumps(value))
@@ -261,3 +257,159 @@ def test_corruption_is_contained(value, data_strategy):
         loads(bytes(data))
     except SerializationError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# clone: the sim network's stand-in for loads(dumps(x))
+
+hashable_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.binary(max_size=8)
+    | st.builds(GlobalAddress, st.integers(min_value=0, max_value=2**20),
+                st.integers(min_value=0, max_value=2**30))
+    | st.builds(FileHandle, st.integers(min_value=0, max_value=100),
+                st.integers(min_value=0, max_value=1000)))
+hashable_values = st.recursive(
+    hashable_leaves, lambda children: st.tuples(children, children),
+    max_leaves=6)
+
+clone_values = st.recursive(
+    hashable_leaves
+    | st.binary(max_size=8).map(bytearray)
+    | st.binary(max_size=8).map(memoryview)
+    | st.sets(hashable_values, max_size=6)
+    | st.frozensets(hashable_values, max_size=6),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(hashable_values, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def assert_same_tree(got, want):
+    """Equal values of identical types all the way down, with dicts and
+    sets iterating in the same order."""
+    assert type(got) is type(want)
+    if type(want) in (list, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_tree(g, w)
+    elif type(want) is dict:
+        assert len(got) == len(want)
+        for (gk, gv), (wk, wv) in zip(got.items(), want.items()):
+            assert_same_tree(gk, wk)
+            assert_same_tree(gv, wv)
+    elif type(want) is set:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_tree(g, w)
+    else:
+        assert got == want
+
+
+def containers(value):
+    """Every list, dict, set and tuple inside ``value`` (``value`` too)."""
+    if type(value) in (list, tuple, set, frozenset):
+        yield value
+        for item in value:
+            yield from containers(item)
+    elif type(value) is dict:
+        yield value
+        for key, val in value.items():
+            yield from containers(key)
+            yield from containers(val)
+
+
+def nested(depth):
+    value = "leaf"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestClone:
+    @settings(max_examples=300)
+    @given(clone_values)
+    def test_equals_round_trip_with_identical_types(self, value):
+        assert_same_tree(clone(value), loads(dumps(value)))
+
+    @settings(max_examples=200)
+    @given(st.sets(hashable_values, max_size=20))
+    def test_set_iterates_like_the_decoded_set(self, value):
+        assert list(clone(value)) == list(loads(dumps(value)))
+
+    def test_maps_types_as_loads_does(self):
+        value = [frozenset({3, 1, 2}), bytearray(b"ab"), memoryview(b"cd")]
+        result = clone(value)
+        assert [type(x) for x in result] == [set, bytes, bytes]
+        assert_same_tree(result, loads(dumps(value)))
+
+    def test_shares_immutable_leaves(self):
+        leaves = ["text", b"raw", 2**100, 1.5, GlobalAddress(1, 2),
+                  FileHandle(3, 4)]
+        assert all(a is b for a, b in zip(clone(leaves), leaves))
+
+    @settings(max_examples=200)
+    @given(clone_values)
+    def test_mutating_the_clone_never_touches_the_original(self, value):
+        before = dumps(value)
+        copy = clone(value)
+        originals = {id(c) for c in containers(value)}
+        # the empty tuple is one interpreter-wide object
+        assert not [c for c in containers(copy)
+                    if id(c) in originals and c != ()]
+        for c in containers(copy):
+            if type(c) is list:
+                c.append("mutated")
+            elif type(c) is dict:
+                c["mutated"] = 1
+            elif type(c) is set:
+                c.add("mutated")
+        assert dumps(value) == before
+
+    @pytest.mark.parametrize("depth", [MAX_DECODE_DEPTH - 1,
+                                       MAX_DECODE_DEPTH,
+                                       MAX_DECODE_DEPTH + 1,
+                                       MAX_DECODE_DEPTH + 10])
+    def test_depth_limit_matches_loads(self, depth):
+        value = nested(depth)
+        try:
+            expected = loads(dumps(value))
+        except SerializationError:
+            with pytest.raises(SerializationError):
+                clone(value)
+        else:
+            assert clone(value) == expected
+
+    def test_every_container_kind_counts_toward_the_limit(self):
+        value = {"k": ({"k": nested(MAX_DECODE_DEPTH - 3)},)}
+        assert clone(value) == loads(dumps(value))
+        value = {"k": ({"k": [nested(MAX_DECODE_DEPTH - 3)]},)}
+        with pytest.raises(SerializationError):
+            loads(dumps(value))
+        with pytest.raises(SerializationError):
+            clone(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), [1, object()], {"k": lambda: None}, {1.5j},
+        (ManagerId.SITE,),  # an int subclass: the codec wants exact types
+    ])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(SerializationError):
+            dumps(value)
+        with pytest.raises(SerializationError):
+            clone(value)
+
+    @pytest.mark.parametrize("value", [
+        {frozenset({1}): "key decodes to an unhashable set"},
+        {(1, frozenset({2})): "so does a tuple key holding one"},
+        {frozenset({1})},
+    ])
+    def test_unhashable_after_round_trip_raises_like_loads(self, value):
+        data = dumps(value)
+        with pytest.raises(SerializationError):
+            loads(data)
+        with pytest.raises(SerializationError):
+            clone(value)
