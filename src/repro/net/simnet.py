@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.common.config import NetworkConfig
-from repro.common.errors import AddressError
+from repro.common.errors import AddressError, SerializationError
 from repro.common.stats import StatSet
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -90,10 +90,10 @@ class SimNetwork:
              msg: Optional[Any] = None) -> bool:
         """Schedule delivery of ``data``; returns False on immediate failure.
 
-        ``msg``: the sender's private copy of the message ``data`` encodes.
-        It is delivered with the bytes, so the receiver need not decode
-        them; only the first delivery of a duplicated message gets it, and
-        bytes that chaos corrupts travel without it.
+        ``msg``: the sender's message that ``data`` encodes, or None.  The
+        first delivery carries a private copy of it, taken now (a snapshot
+        from send time, like the bytes), so the receiver need not decode
+        them.  Chaos duplicates and corrupted bytes travel without one.
 
         A detached destination (crashed/left site) silently swallows the
         message at delivery time — like a real network, the sender cannot
@@ -137,15 +137,16 @@ class SimNetwork:
                     self.stats.inc("chaos_duplicated")
                 if offsets[0] != 0.0:
                     self.stats.inc("chaos_delayed")
+                copy = _private_copy(msg)
                 for extra in offsets:
                     # duplicates carry bytes alone: no two deliveries may
                     # share one message object
                     self.sim.schedule(delay + extra, self._deliver, dst,
-                                      data, msg)
-                    msg = None
+                                      data, copy)
+                    copy = None
                 return True
 
-        self.sim.schedule(delay, self._deliver, dst, data, msg)
+        self.sim.schedule(delay, self._deliver, dst, data, _private_copy(msg))
         return True
 
     def _deliver(self, dst: int, data: bytes,
@@ -165,6 +166,18 @@ class SimNetwork:
         """Attach ``receiver`` and return a Transport-shaped endpoint."""
         self.attach(addr, receiver)
         return SimTransportEndpoint(self, addr)
+
+
+def _private_copy(msg: Optional[Any]) -> Optional[Any]:
+    """``msg.wire_copy()``, or None when there is no message or the decoder
+    would reject it.  Without a copy the receiver decodes the bytes, so it
+    rejects them exactly where a live receiver would."""
+    if msg is None:
+        return None
+    try:
+        return msg.wire_copy()
+    except SerializationError:
+        return None
 
 
 class SimTransportEndpoint:

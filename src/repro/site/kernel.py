@@ -65,10 +65,10 @@ class Kernel(abc.ABC):
                        msg: Optional[Any] = None) -> bool:
         """Hand bytes to the transport for ``dst_physical``.
 
-        ``msg``: the sender's private copy of the message the bytes encode
-        (:meth:`SDMessage.wire_copy`), or None.  A transport inside one
-        process may deliver it with the bytes so the receiver skips the
-        decode; a transport that carries only bytes ignores it.
+        ``msg``: the sent message the bytes encode, or None.  A transport
+        inside one process may deliver a private copy of it
+        (:meth:`SDMessage.wire_copy`) with the bytes, so the receiver skips
+        the decode; a transport that carries only bytes ignores it.
         """
 
     @abc.abstractmethod

@@ -113,13 +113,6 @@ class MessageManager(Manager):
     def _transmit(self, physical: str, msg: SDMessage) -> bool:
         """Encode, seal, charge and hand ``msg`` to the transport."""
         data = msg.encode()
-        # the receiver's copy is a snapshot from send time, like the bytes;
-        # a message the decoder would reject travels as bytes alone, so
-        # the receiver rejects it exactly as before
-        try:
-            copy: Optional[SDMessage] = msg.wire_copy()
-        except SerializationError:
-            copy = None
         cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         envelope = self.site.security_manager.protect(physical, data)
         if self.site.security_manager.enabled:
@@ -133,7 +126,7 @@ class MessageManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "msg_send",
                     msg.type.name, msg.dst_site, len(envelope), msg.seq,
                     msg.cause_id, msg.origin_site)
-        ok = self.kernel.transport_send(physical, envelope, copy)
+        ok = self.kernel.transport_send(physical, envelope, msg)
         if not ok:
             self.stats.inc("send_failed")
         return ok

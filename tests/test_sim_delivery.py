@@ -135,6 +135,21 @@ def test_chaos_duplicates_are_distinct_objects(decodes, fast_config):
     assert len(decodes) == duplicated >= 1
 
 
+def test_undecodable_message_travels_without_a_copy(deliveries,
+                                                     fast_config):
+    cluster = started(2, fast_config)
+    a, b = cluster.sites
+    got = capture(b, MsgType.STATUS_QUERY)
+    # encodes, but decodes to a set key, which is unhashable
+    assert a.message_manager.send(
+        status_msg(a, b, {"bad": {frozenset([1]): 0}}))
+    cluster.sim.run(until=0.5)
+    assert got == []
+    assert b.message_manager.stats.get("malformed").count == 1
+    assert [m for site, _env, m in deliveries
+            if site == b.site_id and m is None]
+
+
 def test_param_corruption_still_decodes_mangled_bytes(deliveries,
                                                       monkeypatch):
     mangled = []
@@ -182,8 +197,7 @@ def test_security_on_completes_and_rejects_plaintext(deliveries):
     rejected = b.message_manager.stats.get("rejected_envelopes").count
     # a copy alongside the bytes must not get past the security check
     cluster.network.send(int(a.kernel.local_physical()),
-                         int(b.kernel.local_physical()), plain,
-                         msg.wire_copy())
+                         int(b.kernel.local_physical()), plain, msg)
     cluster.sim.run(until=cluster.sim.now + 0.5)
     assert got == []
     assert b.message_manager.stats.get(
